@@ -636,128 +636,113 @@ let fig_scale s =
   pf "  wrote %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
-(* Verification pause: quiesced vs background scans                    *)
+(* Verification pause under concurrent writers                        *)
 (* ------------------------------------------------------------------ *)
 
 let fig_vpause s =
   header
-    "Verification pause: stop-the-world (quiesced) vs background scans\n\
-     under identical concurrent write traffic. Writer domains time every\n\
-     operation; \"pause\" is the world-lock hold the foreground observes,\n\
-     from the fastver_verify_pause_seconds histogram — the whole scan when\n\
-     quiesced, only the O(workers) seal barrier in background mode";
+    "Verification pause under concurrent write traffic. Writer domains\n\
+     time every operation while the main domain runs scans; \"pause\" is\n\
+     the world-lock hold the foreground observes, from the\n\
+     fastver_verify_pause_seconds histogram: the O(workers) seal barrier";
   let n = 2_000_000 / s.div in
   let writers = 2 and verifies = 8 in
   let cap = 2_000_000 in
-  let json_rows = ref [] in
-  let point background =
-    let config =
-      {
-        Fastver.Config.default with
-        n_workers = 4;
-        frontier_levels = 8;
-        cache_capacity = 512;
-        batch_size = 0;
-        cost_model = Cost_model.zero;
-        authenticate_clients = false;
-        background_verify = background;
-      }
-    in
-    Gc.compact ();
-    let t = Fastver.create ~config () in
-    Fastver.load t (records n);
-    (* warm an epoch so both modes start from the same steady state *)
-    Fastver.Parallel.run_ycsb t ~spec:Fastver_workload.Ycsb.workload_a
-      ~db_size:n ~ops_per_worker:1_024;
-    ignore (Fastver.verify t);
-    let stop = Atomic.make false in
-    let lats = Array.init writers (fun _ -> Array.make cap 0.0) in
-    let counts = Array.make writers 0 in
-    let domains =
-      Array.init writers (fun wi ->
-          Domain.spawn (fun () ->
-              let rng = Random.State.make [| 97; wi |] in
-              let buf = lats.(wi) in
-              let c = ref 0 in
-              while not (Atomic.get stop) do
-                let k = Int64.of_int (Random.State.int rng n) in
-                let t0 = Unix.gettimeofday () in
-                if Random.State.int rng 5 = 0 then ignore (Fastver.get t k)
-                else Fastver.put t k "vpause-w";
-                if !c < cap then begin
-                  buf.(!c) <- Unix.gettimeofday () -. t0;
-                  incr c
-                end
-              done;
-              counts.(wi) <- !c))
-    in
-    let w0 = Unix.gettimeofday () in
-    for _ = 1 to verifies do
-      Unix.sleepf 0.02;
-      ignore (Fastver.verify t)
-    done;
-    let wall = Unix.gettimeofday () -. w0 in
-    Atomic.set stop true;
-    Array.iter Domain.join domains;
-    ignore (Fastver.verify t);
-    let total = Array.fold_left ( + ) 0 counts in
-    let all = Array.make total 0.0 in
-    let off = ref 0 in
-    Array.iteri
-      (fun wi c ->
-        Array.blit lats.(wi) 0 all !off c;
-        off := !off + c)
-      counts;
-    Array.sort compare all;
-    let q p =
-      if total = 0 then 0.0
-      else all.(min (total - 1) (int_of_float (p *. float_of_int total)))
-    in
-    let pause_mean, pause_max =
-      let open Fastver_obs in
-      List.fold_left
-        (fun acc (name, _, v) ->
-          match (name, v) with
-          | "fastver_verify_pause_seconds", Registry.Histogram_v (snap, scale)
-            ->
-              (Histogram.mean snap *. scale, float_of_int snap.max *. scale)
-          | _ -> acc)
-        (0.0, 0.0)
-        (Registry.dump (Fastver.registry t))
-    in
-    let ops_per_s = float_of_int total /. wall in
-    (ops_per_s, q 0.5, q 0.99, q 1.0, pause_mean, pause_max)
+  let config =
+    {
+      Fastver.Config.default with
+      n_workers = 4;
+      frontier_levels = 8;
+      cache_capacity = 512;
+      batch_size = 0;
+      cost_model = Cost_model.zero;
+      authenticate_clients = false;
+    }
   in
-  pf "%-12s %12s %10s %10s %10s %12s %12s\n" "mode" "ops/s" "p50(us)"
-    "p99(us)" "max(ms)" "pause-avg(ms)" "pause-max(ms)";
-  List.iter
-    (fun background ->
-      let mode = if background then "background" else "quiesced" in
-      let ops_per_s, p50, p99, lmax, pmean, pmax = point background in
-      pf "%-12s %12.0f %10.1f %10.1f %10.2f %12.3f %12.3f\n%!" mode ops_per_s
-        (p50 *. 1e6) (p99 *. 1e6) (lmax *. 1e3) (pmean *. 1e3) (pmax *. 1e3);
-      Results.(
-        record "vpause"
-          [
-            ("mode", S mode); ("records", I n); ("verifies", I verifies);
-            ("ops_per_s", F ops_per_s); ("lat_p50_s", F p50);
-            ("lat_p99_s", F p99); ("lat_max_s", F lmax);
-            ("pause_mean_s", F pmean); ("pause_max_s", F pmax);
-          ]);
-      json_rows :=
-        Printf.sprintf
-          "    {\"mode\": \"%s\", \"records\": %d, \"verifies\": %d, \
-           \"ops_per_s\": %.1f, \"lat_p50_s\": %.9f, \"lat_p99_s\": %.9f, \
-           \"lat_max_s\": %.9f, \"pause_mean_s\": %.9f, \"pause_max_s\": \
-           %.9f}"
-          mode n verifies ops_per_s p50 p99 lmax pmean pmax
-        :: !json_rows)
-    [ false; true ];
+  Gc.compact ();
+  let t = Fastver.create ~config () in
+  Fastver.load t (records n);
+  (* warm an epoch so the timed scans start from a steady state *)
+  Fastver.Parallel.run_ycsb t ~spec:Fastver_workload.Ycsb.workload_a
+    ~db_size:n ~ops_per_worker:1_024;
+  ignore (Fastver.verify t);
+  let stop = Atomic.make false in
+  let lats = Array.init writers (fun _ -> Array.make cap 0.0) in
+  let counts = Array.make writers 0 in
+  let domains =
+    Array.init writers (fun wi ->
+        Domain.spawn (fun () ->
+            let rng = Random.State.make [| 97; wi |] in
+            let buf = lats.(wi) in
+            let c = ref 0 in
+            while not (Atomic.get stop) do
+              let k = Int64.of_int (Random.State.int rng n) in
+              let t0 = Unix.gettimeofday () in
+              if Random.State.int rng 5 = 0 then ignore (Fastver.get t k)
+              else Fastver.put t k "vpause-w";
+              if !c < cap then begin
+                buf.(!c) <- Unix.gettimeofday () -. t0;
+                incr c
+              end
+            done;
+            counts.(wi) <- !c))
+  in
+  let w0 = Unix.gettimeofday () in
+  for _ = 1 to verifies do
+    Unix.sleepf 0.02;
+    ignore (Fastver.verify t)
+  done;
+  let wall = Unix.gettimeofday () -. w0 in
+  Atomic.set stop true;
+  Array.iter Domain.join domains;
+  ignore (Fastver.verify t);
+  let total = Array.fold_left ( + ) 0 counts in
+  let all = Array.make total 0.0 in
+  let off = ref 0 in
+  Array.iteri
+    (fun wi c ->
+      Array.blit lats.(wi) 0 all !off c;
+      off := !off + c)
+    counts;
+  Array.sort compare all;
+  let q p =
+    if total = 0 then 0.0
+    else all.(min (total - 1) (int_of_float (p *. float_of_int total)))
+  in
+  let pmean, pmax =
+    let open Fastver_obs in
+    List.fold_left
+      (fun acc (name, _, v) ->
+        match (name, v) with
+        | "fastver_verify_pause_seconds", Registry.Histogram_v (snap, scale)
+          ->
+            (Histogram.mean snap *. scale, float_of_int snap.max *. scale)
+        | _ -> acc)
+      (0.0, 0.0)
+      (Registry.dump (Fastver.registry t))
+  in
+  let ops_per_s = float_of_int total /. wall in
+  let p50 = q 0.5 and p99 = q 0.99 and lmax = q 1.0 in
+  pf "%12s %10s %10s %10s %12s %12s\n" "ops/s" "p50(us)" "p99(us)" "max(ms)"
+    "pause-avg(ms)" "pause-max(ms)";
+  pf "%12.0f %10.1f %10.1f %10.2f %12.3f %12.3f\n%!" ops_per_s (p50 *. 1e6)
+    (p99 *. 1e6) (lmax *. 1e3) (pmean *. 1e3) (pmax *. 1e3);
+  Results.(
+    record "vpause"
+      [
+        ("records", I n); ("verifies", I verifies);
+        ("ops_per_s", F ops_per_s); ("lat_p50_s", F p50);
+        ("lat_p99_s", F p99); ("lat_max_s", F lmax);
+        ("pause_mean_s", F pmean); ("pause_max_s", F pmax);
+      ]);
   let path = "BENCH_vpause.json" in
   let oc = open_out path in
   Printf.fprintf oc
-    "{\n  \"figure\": \"vpause\",\n  \"rows\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.rev !json_rows));
+    "{\n  \"figure\": \"vpause\",\n  \"rows\": [\n    {\"records\": %d, \
+     \"verifies\": %d, \"ops_per_s\": %.1f, \"lat_p50_s\": %.9f, \
+     \"lat_p99_s\": %.9f, \"lat_max_s\": %.9f, \"pause_mean_s\": %.9f, \
+     \"pause_max_s\": %.9f}\n  ]\n}\n"
+    n verifies ops_per_s p50 p99 lmax pmean pmax;
   close_out oc;
   pf "  wrote %s\n%!" path
 

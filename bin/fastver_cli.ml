@@ -202,8 +202,8 @@ let parse_addr s =
   match Net.Addr.parse s with Ok a -> a | Error e -> die "%s" e
 
 let serve_cmd listen db_size workers shards batch depth cache algo
-    enclave_model no_auth seed batch_limit ckpt_dir background_verify
-    metrics_interval cold_dir cold_threshold repl_listen repl_peers adaptive =
+    enclave_model no_auth seed batch_limit ckpt_dir metrics_interval cold_dir
+    cold_threshold repl_listen repl_peers adaptive =
   if db_size < 1 then die "--db-size must be at least 1";
   if workers < 1 then die "--workers must be at least 1";
   if shards < 0 then die "--shards must be non-negative";
@@ -214,7 +214,6 @@ let serve_cmd listen db_size workers shards batch depth cache algo
       (mk_config workers batch depth cache algo enclave_model no_auth seed)
       with
       n_shards = shards;
-      background_verify;
       cold_dir;
       cold_threshold;
       adaptive;
@@ -805,13 +804,6 @@ let recover_dir =
   Arg.(required & opt (some string) None & info [ "dir" ] ~docv:"DIR"
          ~doc:"Checkpoint directory to recover from.")
 
-let background_verify =
-  Arg.(value & flag & info [ "background-verify" ]
-         ~doc:"Run verification scans on a background domain: Verify (and \
-               auto-triggered scans) seal the epoch boundary under a brief \
-               barrier and keep serving into the next epoch while the scan \
-               runs, instead of quiescing the executor pool.")
-
 let repl_listen =
   Arg.(value & opt (some string) None & info [ "replication-listen" ]
          ~docv:"ADDR"
@@ -882,7 +874,7 @@ let serve_term =
     const (fun () -> serve_cmd)
     $ setup_logs $ listen $ db_size $ workers $ shards $ batch $ depth $ cache
     $ algo $ enclave_model $ no_auth $ seed $ batch_limit $ ckpt_dir
-    $ background_verify $ metrics_interval $ cold_dir $ cold_threshold
+    $ metrics_interval $ cold_dir $ cold_threshold
     $ repl_listen $ repl_peers $ adaptive_flag)
 
 let follow_term =

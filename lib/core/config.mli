@@ -18,7 +18,9 @@ type t = {
           roughly [2^d] records migrate on every verification. *)
   batch_size : int;
       (** Operations processed between automatic verification scans; [0]
-          disables automatic verification. *)
+          disables automatic verification. The operation that reaches the
+          count runs the scan on its own domain, while operations on other
+          domains keep folding into the next epoch. *)
   log_buffer_size : int;
       (** Verifier-log entries buffered per worker before entering the
           enclave (§7, amortising transition cost). *)
@@ -38,13 +40,6 @@ type t = {
           sizes, scan timings) into the system's {!Fastver_obs.Registry}.
           Callback-backed metrics register either way; disabling only skips
           the per-operation counter updates. *)
-  background_verify : bool;
-      (** Run epoch verification scans concurrently with foreground
-          traffic: the epoch boundary is sealed under a brief O(workers)
-          barrier, the live epoch is bumped so gets/puts resume
-          immediately, and the scan runs over the sealed snapshot on
-          background domains. Off by default: [Fastver.verify] then holds
-          the world lock for the whole scan (quiesced semantics). *)
   cold_dir : string option;
       (** Directory for the authenticated cold tier; [None] keeps every
           record in memory. Larger-than-memory datasets demote cooling

@@ -139,26 +139,19 @@ type t = {
   ops_since_verify : int Atomic.t;
   live_epoch : int Atomic.t;
       (* the epoch operations are folding into right now. Trails the
-         verifiers' current epoch during a background scan: the seal barrier
-         bumps it to [e+1] while the verifiers still hold epoch [e] open
-         until the scan closes it. Equal to the verifiers' current epoch
-         whenever no scan is in flight. *)
+         verifiers' current epoch during a scan: the seal barrier bumps it
+         to [e+1] while the verifiers still hold epoch [e] open until the
+         scan closes it. Equal to the verifiers' current epoch whenever no
+         scan is in flight. *)
   verify_mutex : Mutex.t;
       (* serializes verification scans and checkpoints with each other;
          acquired before (never inside) the shard locks *)
   verify_inflight : bool Atomic.t;
-  bg_lock : Mutex.t;
-      (* guards the [bg_join] handoff so racing dispatchers cannot leak an
-         unjoined domain; nothing else may be acquired while held *)
-  bg_join : unit Domain.t option Atomic.t;
-      (* the background scan domain, if one was spawned; joined by the next
-         verify/checkpoint/shutdown so domains never leak *)
   mutable redeferred : Key.t list;
   redeferred_lock : Mutex.t;
       (* leaf lock (no other lock taken while held): data keys whose
-         fast-path touch crossed the epoch boundary during a background
-         scan; the next seal barrier routes them to their shards' dirty
-         snapshots *)
+         fast-path touch crossed the epoch boundary during a scan; the next
+         seal barrier routes them to their shards' dirty snapshots *)
   mutable on_verified : (unit -> unit) option;
       (* e.g. auto-checkpoint: runs after each successful scan *)
   mutable repl : replication option;
@@ -387,8 +380,6 @@ let create ?(config = Config.default) () =
       live_epoch = Atomic.make 0;
       verify_mutex = Mutex.create ();
       verify_inflight = Atomic.make false;
-      bg_lock = Mutex.create ();
-      bg_join = Atomic.make None;
       redeferred = [];
       redeferred_lock = Mutex.create ();
       on_verified = None;
@@ -496,8 +487,7 @@ let with_lock m f =
    [checkpoint] all follow it); [redeferred_lock] and [cold_lock] come
    after the world (redeferred under any shard/worker lock, cold under the
    world lock), and both are leaves: nothing is acquired while they are
-   held. [bg_lock] stands alone: it is only ever taken with nothing held,
-   and nothing is acquired under it. Each domain tracks what it holds in
+   held. Each domain tracks what it holds in
    domain-local state; enforcement is off by default (a single [Atomic.get]
    per lock operation) and switched on by tests via
    [Testing.enforce_lock_order]. A violation raises [Invalid_argument] at
@@ -506,7 +496,6 @@ module Lock_order = struct
   type held = {
     mutable trees : int list; (* desc *)
     mutable workers : int list; (* desc *)
-    mutable bg : bool;
     mutable redeferred : bool;
     mutable cold : bool;
   }
@@ -515,15 +504,13 @@ module Lock_order = struct
 
   let dls =
     Domain.DLS.new_key (fun () ->
-        { trees = []; workers = []; bg = false; redeferred = false;
-          cold = false })
+        { trees = []; workers = []; redeferred = false; cold = false })
 
   let fail fmt = Printf.ksprintf invalid_arg ("lock order: " ^^ fmt)
 
   (* Locks under which nothing further may be acquired. *)
   let leaf_held h =
-    if h.bg then Some "bg_lock"
-    else if h.redeferred then Some "redeferred_lock"
+    if h.redeferred then Some "redeferred_lock"
     else if h.cold then Some "cold_lock"
     else None
 
@@ -572,22 +559,6 @@ module Lock_order = struct
       h.workers <- List.filter (fun w -> w <> wid) h.workers
     end
 
-  let note_bg_lock () =
-    if Atomic.get enforce then begin
-      let h = Domain.DLS.get dls in
-      check_leaf h "bg_lock";
-      (match h.trees with
-      | sid :: _ -> fail "bg_lock requested while holding shard tree lock %d" sid
-      | [] -> ());
-      (match h.workers with
-      | wid :: _ -> fail "bg_lock requested while holding worker lock %d" wid
-      | [] -> ());
-      h.bg <- true
-    end
-
-  let note_bg_unlock () =
-    if Atomic.get enforce then (Domain.DLS.get dls).bg <- false
-
   (* Acquirable under shard/worker locks (the fast path parks keys while
      holding its worker lock; the seal barrier routes them under the world
      lock) — but itself a leaf. *)
@@ -630,15 +601,6 @@ let with_worker_lock t wid f =
     ~finally:(fun () ->
       Mutex.unlock t.shards.(wid).worker_lock;
       Lock_order.note_worker_unlock wid)
-    f
-
-let with_bg_lock t f =
-  Lock_order.note_bg_lock ();
-  Mutex.lock t.bg_lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.bg_lock;
-      Lock_order.note_bg_unlock ())
     f
 
 let with_redeferred_lock t f =
@@ -753,9 +715,9 @@ let gateway_check_put t key value meta =
 let gateway_receipt t ~kind key value meta =
   match meta with
   | Some m when t.config.authenticate_clients ->
-      (* The live epoch, not the verifier's: during a background scan the
-         verifier still holds the sealed epoch open, but this op folds into
-         the live one — a receipt stamped with the sealed epoch could claim
+      (* The live epoch, not the verifier's: during a scan the verifier
+         still holds the sealed epoch open, but this op folds into the
+         live one — a receipt stamped with the sealed epoch could claim
          certainty one epoch early. Reading one epoch late is merely
          conservative. *)
       let epoch = Atomic.get t.live_epoch in
@@ -863,8 +825,8 @@ let ensure_room t sh ?protect () =
   while Key_lru.length sh.lru >= sh.cache_cap - 2 do
     match Key_lru.victim ?exclude:protect sh.lru with
     | Some e ->
-        (* Evictions must land in the live epoch: during a background scan
-           of the sealed epoch, an evict timestamped into the sealed epoch
+        (* Evictions must land in the live epoch: during a scan of the
+           sealed epoch, an evict timestamped into the sealed epoch
            would add an element the in-flight scan can no longer balance. *)
         evict_mirror t sh e ~epoch_floor:(Atomic.get t.live_epoch)
     | None ->
@@ -959,8 +921,8 @@ exception Raced
 (* Fast path: the record rides the deferred tier — one CAS plus three O(1)
    log entries, no Merkle hashing (§5.3). *)
 let rec blum_fast t sh key cur ts action =
-  (* The evict must land in the live epoch: while a background scan has the
-     previous epoch sealed but still open in the verifier, a re-touch of a
+  (* The evict must land in the live epoch: while a scan has the previous
+     epoch sealed but still open in the verifier, a re-touch of a
      record whose timestamp predates the seal would otherwise evict back
      into the sealed epoch — an element the in-flight scan's snapshot can
      no longer balance. *)
@@ -983,14 +945,14 @@ let rec blum_fast t sh key cur ts action =
     | A_put (v, _) -> repl_op t ~epoch:(Timestamp.epoch ts') ~key ~value:v
     | A_get _ -> ());
     if Timestamp.epoch ts < Timestamp.epoch ts' then
-      (* The touch crossed the epoch boundary (only possible while a
-         background scan is in flight): the [add_b] above balances the
-         sealed epoch's evict of this record, and the new evict lands in
-         the live epoch — so the record must re-enter the live epoch's
-         dirty set or that evict would never be balanced. The shard's
-         dirty list is snapshotted by the seal barrier; park the key in a
-         leaf-locked side list that the next seal barrier routes back to
-         its shard's snapshot. Exactly one touch per record crosses (the
+      (* The touch crossed the epoch boundary (only possible while a scan
+         is in flight): the [add_b] above balances the sealed epoch's
+         evict of this record, and the new evict lands in the live epoch
+         — so the record must re-enter the live epoch's dirty set or that
+         evict would never be balanced. The shard's dirty list is
+         snapshotted by the seal barrier; park the key in a leaf-locked
+         side list that the next seal barrier routes back to its shard's
+         snapshot. Exactly one touch per record crosses (the
          next one sees both timestamps in the live epoch). *)
       with_redeferred_lock t (fun () -> t.redeferred <- key :: t.redeferred);
     if t.config.adaptive then begin
@@ -1026,8 +988,8 @@ let client_validate t sh key cur action =
 (* Hand the (cached, just-validated) data record to the deferred tier for the
    rest of the epoch (§6.1: touched records are hot). *)
 let defer_data t sh key parent new_v =
-  (* Same live-epoch floor as [blum_fast]: during a background scan the
-     deferral's evict may not land in the sealed epoch. *)
+  (* Same live-epoch floor as [blum_fast]: during a scan the deferral's
+     evict may not land in the sealed epoch. *)
   let ts' =
     Timestamp.max sh.clock (Timestamp.first_of_epoch (Atomic.get t.live_epoch))
   in
@@ -1235,11 +1197,11 @@ let verifier_op_count t =
       + s.n_vget + s.n_vput)
     0 t.shards
 
-(* Background slices re-take their shard's tree lock and worker lock per
-   [bg_chunk]-sized chunk of work, releasing them in between so foreground
-   operations interleave: the pause any single operation can observe is
-   bounded by one chunk, not the whole scan. *)
-let bg_chunk = 256
+(* Scan slices re-take their shard's tree lock and worker lock per
+   [scan_chunk]-sized chunk of work, releasing them in between so
+   foreground operations interleave: the pause any single operation can
+   observe is bounded by one chunk, not the whole scan. *)
+let scan_chunk = 256
 
 let adaptive_params t =
   let n = Array.length t.shards in
@@ -1258,10 +1220,10 @@ let adaptive_params t =
 
 (* Controller step, inside the seal barrier (world lock held): snapshot this
    epoch's observations, decide, and install the plan the following scan
-   executes. Applying the verifier-capacity change here is safe even when it
-   shrinks below the resident count: every add goes through [ensure_room]
-   first, which evicts the mirror down to the new capacity's headroom before
-   the verifier sees another record. *)
+   executes. Scans leave caches resident, so a new capacity can land below
+   the resident count; the shard then evicts down to the new headroom here,
+   because an operation whose whole chain is already resident adds its
+   data record without passing through [ensure_room]. *)
 let adaptive_step t =
   if t.config.adaptive then begin
     let obs =
@@ -1286,6 +1248,8 @@ let adaptive_step t =
         sh.plan <- Some p;
         sh.cache_cap <- p.Adaptive.p_cache_cap;
         Verifier.set_cache_capacity sh.verifier p.Adaptive.p_cache_cap;
+        if Key_lru.length sh.lru > sh.cache_cap - 2 then
+          Enclave.call t.enclave (fun () -> ensure_room t sh ());
         sh.depth <- p.Adaptive.p_depth;
         Adaptive.decay sh.heat;
         sh.ops_blum_e <- 0;
@@ -1295,42 +1259,39 @@ let adaptive_step t =
     Metrics.adaptive_retune t.metrics
   end
 
-(* One shard's slice of the verification scan: steps 1–3 (sorted dirty
-   re-apply, frontier migration, quiesced cache sweep). Because routing
-   confines every record — and therefore every buffered log entry — to its
-   own shard, the epoch close and seal also ride the slice
-   ([close_and_seal_shard] below): a shard certifies its partition the
-   moment its own migration finishes, without waiting for the others. Only
-   the store-level multiset fold remains serial.
+(* One shard's slice of the verification scan: sorted dirty re-apply,
+   frontier retune and frontier migration. Because routing confines every
+   record — and therefore every buffered log entry — to its own shard, the
+   epoch close and seal also ride the slice ([close_and_seal_shard] below):
+   a shard certifies its partition the moment its own migration finishes,
+   without waiting for the others. Only the store-level multiset fold
+   remains serial.
 
-   Quiesced mode ([background = false]): the coordinator holds every lock
-   and the slices run free. Background mode: the world is live — the slice
-   chunks its way through the sealed snapshot under its shard's tree +
-   worker locks (the same order [merkle_slow] takes, so no deadlock),
-   racing foreground fast-path CASes on the store; migration therefore
-   claims each dirty record by CAS, and a record whose touch already
-   carried it into the live epoch is skipped (the toucher's [add_b]
-   balanced this epoch, and the seal parked the key for the next). *)
-let scan_shard t ~epoch ~background sh dirty =
+   The world is live: the slice chunks its way through the sealed snapshot
+   under its shard's tree + worker locks (the same order [merkle_slow]
+   takes, so no deadlock), racing foreground fast-path CASes on the store;
+   migration therefore claims each dirty record by CAS, and a record whose
+   touch already carried it into the live epoch is skipped (the toucher's
+   [add_b] balanced this epoch, and the seal parked the key for the next).
+   Cached merkle records stay resident: a record cached in epoch [e]
+   contributes nothing further to [e] (its add already balanced the evict
+   that made it cached), and its own eventual eviction lands at the
+   live-epoch floor, balanced by that epoch's scan. *)
+let scan_shard t ~epoch sh dirty =
   let migrated_data = ref 0 and migrated_frontier = ref 0 in
   let chunked len f =
-    if not background then begin
-      if len > 0 then Enclave.call t.enclave (fun () -> f 0 len)
-    end
-    else begin
-      let i = ref 0 in
-      while !i < len do
-        let hi = min len (!i + bg_chunk) in
-        with_shard_lock t sh.sid (fun () ->
-            with_worker_lock t sh.sid (fun () ->
-                (* Drain buffered foreground entries before any direct
-                   verifier call: their evict timestamps predate ours, and
-                   the thread clock only moves forward. *)
-                flush_worker t sh;
-                Enclave.call t.enclave (fun () -> f !i hi)));
-        i := hi
-      done
-    end
+    let i = ref 0 in
+    while !i < len do
+      let hi = min len (!i + scan_chunk) in
+      with_shard_lock t sh.sid (fun () ->
+          with_worker_lock t sh.sid (fun () ->
+              (* Drain buffered foreground entries before any direct
+                 verifier call: their evict timestamps predate ours, and
+                 the thread clock only moves forward. *)
+              flush_worker t sh;
+              Enclave.call t.enclave (fun () -> f !i hi)));
+      i := hi
+    done
   in
   (* 1. Sorted merkle updates: re-apply every touched data record to the
      tree in key order, exploiting chain-prefix locality (the snapshot
@@ -1550,68 +1511,47 @@ let scan_shard t ~epoch ~background sh dirty =
                eviction; the next scan migrates it. *)
             ()
         | M_cached sid ->
-            (* Cached this epoch: the quiesced sweep below — or, in
-               background mode, a later capacity eviction at the live-epoch
-               floor — moves it into a later epoch. Only ever cached by its
-               own shard (routing is forced by key). *)
+            (* Cached this epoch: a later capacity eviction at the
+               live-epoch floor moves it into a later epoch. Only ever
+               cached by its own shard (routing is forced by key). *)
             assert (sid = sh.sid)
         | M_merkle -> assert false
       done);
-  (* 3. Quiesced only: evict every remaining cached merkle record, children
-     first, so the epoch leaves the caches empty. Background scans leave
-     the working set resident — a record cached in epoch [e] contributes
-     nothing further to [e] (its add already balanced the evict that made
-     it cached), and its own eventual eviction lands at the live-epoch
-     floor, balanced by that epoch's scan. *)
-  if not background then
-    Enclave.call t.enclave (fun () ->
-        while Key_lru.length sh.lru > 0 do
-          match Key_lru.victim sh.lru with
-          | Some e -> evict_mirror t sh e ~epoch_floor:(epoch + 1)
-          | None ->
-              raise (Integrity_violation "cycle in cached merkle records")
-        done);
   (!migrated_data, !migrated_frontier)
 
-(* 4a. Per-shard epoch close + seal, at the tail of each shard's own slice
+(* Per-shard epoch close + seal, at the tail of each shard's own slice
    (routing confines a shard's log entries to its own partition, so a
-   shard may certify the moment its migration finishes — this is what
-   moves the former serial close/detach loop into the parallel phase). In
-   background mode the shard's worker lock is held just long enough to
-   flush its buffer, close the epoch, detach its set hashes and seal;
-   afterwards the store-level aggregation reads only the returned fold,
-   never thread state that foreground traffic keeps mutating. *)
-let close_and_seal_shard t ~epoch ~background sh =
-  let work () =
-    flush_worker t sh;
-    let fold =
-      Enclave.call t.enclave (fun () ->
-          ok (Verifier.close_epoch sh.verifier ~tid:0 ~epoch);
-          let detached =
-            [| ok (Verifier.detach_epoch sh.verifier ~tid:0 ~epoch) |]
-          in
-          let _shard_cert, fold =
-            ok
-              (Verifier.seal_epoch_shard sh.verifier ~shard:sh.sid ~epoch
-                 ~detached)
-          in
-          fold)
-    in
-    sh.clock <- Timestamp.max sh.clock (Timestamp.first_of_epoch (epoch + 1));
-    fold
+   shard may certify the moment its migration finishes). The shard's worker
+   lock is held just long enough to flush its buffer, close the epoch,
+   detach its set hashes and seal; afterwards the store-level aggregation
+   reads only the returned fold, never thread state that foreground traffic
+   keeps mutating. *)
+let close_and_seal_shard t ~epoch sh =
+  with_worker_lock t sh.sid @@ fun () ->
+  flush_worker t sh;
+  let fold =
+    Enclave.call t.enclave (fun () ->
+        ok (Verifier.close_epoch sh.verifier ~tid:0 ~epoch);
+        let detached =
+          [| ok (Verifier.detach_epoch sh.verifier ~tid:0 ~epoch) |]
+        in
+        let _shard_cert, fold =
+          ok
+            (Verifier.seal_epoch_shard sh.verifier ~shard:sh.sid ~epoch
+               ~detached)
+        in
+        fold)
   in
-  if background then with_worker_lock t sh.sid work else work ()
+  sh.clock <- Timestamp.max sh.clock (Timestamp.first_of_epoch (epoch + 1));
+  fold
 
-(* The verification scan (§6.3, §8.1). Quiesced mode: stop-the-world — the
-   coordinator owns every shard for the whole scan (lock order: tree locks
-   ascending, then worker locks ascending — the same order [merkle_slow]
-   uses, so scans and operations cannot deadlock), and the per-shard
-   slices fan out to real domains (§8.5). Background mode
-   ([config.background_verify]): the world stops only for the {e seal
-   barrier} — flush every log buffer, snapshot every dirty set, route the
-   parked epoch-crossing keys, bump the live epoch — after which
-   foreground gets/puts resume immediately against epoch [e+1] while the
-   slices migrate epoch [e] underneath them.
+(* The verification scan (§6.3, §8.1), run on the calling domain. The world
+   stops only for the {e seal barrier} — flush every log buffer, snapshot
+   every dirty set, route the parked epoch-crossing keys, bump the live
+   epoch — after which foreground gets/puts resume immediately against
+   epoch [e+1] while the per-shard slices migrate epoch [e] underneath
+   them, fanned out over real domains when there are several shards
+   (§8.5).
 
    Each slice ends by closing and sealing its own shard's epoch
    ([close_and_seal_shard]); the serial tail is only the store-level
@@ -1622,7 +1562,6 @@ let close_and_seal_shard t ~epoch ~background sh =
 
    The caller must hold [verify_mutex]. Returns [(epoch, certificate)]. *)
 let verify_inner t =
-  let background = t.config.background_verify in
   let t0 = now () in
   let charged0 = Enclave.charged_ns t.enclave in
   let vops0 = verifier_op_count t in
@@ -1667,18 +1606,9 @@ let verify_inner t =
     Atomic.set t.ops_since_verify 0;
     (epoch, Array.map Array.of_list dirty_lists)
   in
-  let epoch, dirty =
-    match seal () with
-    | sealed -> sealed
-    | exception e ->
-        unlock_world t;
-        raise e
-  in
-  if background then begin
-    unlock_world t;
-    Metrics.verify_pause t.metrics ~seconds:(now () -. t0)
-  end;
-  let run_scan () =
+  let epoch, dirty = Fun.protect ~finally:(fun () -> unlock_world t) seal in
+  Metrics.verify_pause t.metrics ~seconds:(now () -. t0);
+  let cert =
     let n = Array.length t.shards in
     let results = Array.make n (0, 0) in
     let folds = Array.make n ("", "") in
@@ -1687,8 +1617,8 @@ let verify_inner t =
       let sh = t.shards.(sid) in
       let tw = now () in
       (match
-         let r = scan_shard t ~epoch ~background sh dirty.(sid) in
-         let fold = close_and_seal_shard t ~epoch ~background sh in
+         let r = scan_shard t ~epoch sh dirty.(sid) in
+         let fold = close_and_seal_shard t ~epoch sh in
          (r, fold)
        with
       | r, fold ->
@@ -1731,7 +1661,7 @@ let verify_inner t =
         t.stats.migrated_data <- t.stats.migrated_data + d;
         t.stats.migrated_frontier <- t.stats.migrated_frontier + f)
       results;
-    (* 4b. Serial tail: fold every shard's detached set-hash values into
+    (* Serial tail: fold every shard's detached set-hash values into
        the store-level accumulators and sign the epoch certificate. The
        per-shard balance checks already ran inside the slices; this is
        O(shards) multiset merges plus one HMAC — the only inherently
@@ -1751,19 +1681,12 @@ let verify_inner t =
     t.stats.serial_s <- t.stats.serial_s +. (now () -. ts);
     cert
   in
-  let cert =
-    if background then run_scan ()
-    else
-      Fun.protect ~finally:(fun () -> unlock_world t) run_scan
-  in
   (* Epoch-boundary record for replication followers: emitted after the
      scan proved the epoch balanced, in epoch order ([verify_mutex]
      serializes scans). Every op teed with this epoch tag preceded the
      seal barrier above, so followers hold the full epoch when this
      record reaches them. *)
   repl_seal t ~epoch ~cert;
-  if not background then
-    Metrics.verify_pause t.metrics ~seconds:(now () -. t0);
   (* Account the enclave crossings this scan would have cost: its verifier
      calls stream through log buffers in a real deployment. *)
   let vops = verifier_op_count t - vops0 in
@@ -1780,14 +1703,6 @@ let verify_inner t =
   Metrics.verify_scan t.metrics ~seconds:elapsed
     ~touched:(t.stats.migrated_data + t.stats.migrated_frontier - touched0);
   (epoch, cert)
-
-(* Join the background scan domain, if one is outstanding. The handoff
-   goes through [bg_lock] so a joiner racing a dispatcher can never leave
-   a domain unjoined. *)
-let join_bg t =
-  match with_bg_lock t (fun () -> Atomic.exchange t.bg_join None) with
-  | Some d -> Domain.join d
-  | None -> ()
 
 (* Cold-tier maintenance rides the verification cadence: right after a scan
    every record's aux is freshly installed, so demotion moves settled
@@ -1813,8 +1728,7 @@ let cold_maintain t =
           | Ok _ -> ()
           | Error e -> Logs.warn (fun m -> m "cold compaction: %s" e))
 
-let verify_pair t =
-  join_bg t;
+let verify_epoch t =
   let pair = with_lock t.verify_mutex (fun () -> verify_inner t) in
   cold_maintain t;
   (* post-verification hooks (auto-checkpoint) run outside the locks: they
@@ -1822,44 +1736,13 @@ let verify_pair t =
   (match t.on_verified with Some hook -> hook () | None -> ());
   pair
 
-let verify t = snd (verify_pair t)
-
-let verify_async t ~on_complete =
-  (* Raise the latch before the domain exists, so [maybe_verify] callers
-     stop dispatching the moment a scan is queued, not once it starts. *)
-  Atomic.set t.verify_inflight true;
-  with_bg_lock t (fun () ->
-      let prev = Atomic.exchange t.bg_join None in
-      let d =
-        Domain.spawn (fun () ->
-            (* Chain behind any previous background scan; its result went
-               to its own completion callback. *)
-            (match prev with Some p -> Domain.join p | None -> ());
-            match with_lock t.verify_mutex (fun () -> verify_inner t) with
-            | pair ->
-                cold_maintain t;
-                (match t.on_verified with Some hook -> hook () | None -> ());
-                on_complete (Ok pair)
-            | exception e -> on_complete (Error e))
-      in
-      Atomic.set t.bg_join (Some d))
-
-let wait_verify t = join_bg t
+let verify t = snd (verify_epoch t)
 
 let maybe_verify t =
   if
     Atomic.fetch_and_add t.ops_since_verify 1 + 1 >= t.config.batch_size
     && t.config.batch_size > 0
-  then
-    if t.config.background_verify then begin
-      (* Fire-and-forget, at most one in flight: the scan runs on its own
-         domain while this operation returns. A failed scan needs no
-         handling here — an integrity violation poisons the verifier, so
-         it resurfaces on the very next operation. *)
-      if Atomic.compare_and_set t.verify_inflight false true then
-        verify_async t ~on_complete:(fun _ -> ())
-    end
-    else ignore (verify t)
+  then ignore (verify t)
 
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                   *)
@@ -2081,11 +1964,11 @@ module Session = struct
 
   let await_certainty s r =
     while verified_epoch s.sys < r.epoch do
-      (* [verify_pair] reports which epoch the certificate covers — reading
+      (* [verify_epoch] reports which epoch the certificate covers — reading
          the verifier's current epoch separately would race a concurrent
-         (or background) scan and check the certificate against the wrong
+         scan and check the certificate against the wrong
          epoch. *)
-      let epoch, cert = verify_pair s.sys in
+      let epoch, cert = verify_epoch s.sys in
       if not (check_epoch_certificate s.sys ~epoch cert) then
         raise (Integrity_violation "bad epoch certificate")
     done
@@ -2119,10 +2002,7 @@ module Batch = struct
      waiting for its receipt cell to fill when its log entry flushes. *)
   type pending = { p_meta : meta option; p_item : item; p_op : int }
 
-  let submit ?worker:_ ?(pre_admitted = false) t ops =
-    (* The [worker] hint is accepted for compatibility but ignored: shard
-       routing is forced by key, so a dispatcher cannot choose where an
-       operation runs — only which domain drives it. *)
+  let submit ?(pre_admitted = false) t ops =
     check_loaded t;
     let auth = t.config.authenticate_clients in
     let n = Array.length ops in
@@ -2203,7 +2083,7 @@ module Batch = struct
       | exception Integrity_violation e -> Some e
     in
     (if auth then
-       (* Live epoch, not the verifier's: a background scan keeps the sealed
+       (* Live epoch, not the verifier's: a scan keeps the sealed
           epoch open in the verifier while these ops folded into the live
           one; a later fallback stamp is merely conservative. *)
        let fallback_epoch = Atomic.get t.live_epoch in
@@ -2447,8 +2327,8 @@ let checkpoint t ~dir =
     Fun.protect ~finally:(fun () -> unlock_world t)
     @@ fun () ->
     Array.iter (flush_worker t) t.shards;
-    (* With background verification, foreground traffic may have left merkle
-       records cached at the instant the world stopped; the sealed summaries
+    (* Scans leave the working set cached, so merkle records may be cached
+       at the instant the world stopped; the sealed summaries
        require empty caches and the tree images cannot encode cached
        records, so evict them all (children first) into the live epoch. *)
     Array.iter
@@ -2763,8 +2643,6 @@ let recover_generation ?(config = Config.default) ~gdir () =
       live_epoch = Atomic.make (Verifier.current_epoch verifiers.(0));
       verify_mutex = Mutex.create ();
       verify_inflight = Atomic.make false;
-      bg_lock = Mutex.create ();
-      bg_join = Atomic.make None;
       redeferred = [];
       redeferred_lock = Mutex.create ();
       on_verified = None;
@@ -2794,8 +2672,7 @@ let recover_generation ?(config = Config.default) ~gdir () =
               1 fs))
     t.shards;
   (* Re-seed the dirty sets from the persisted protection state: a
-     checkpoint may land mid-epoch (with background verification it
-     routinely does), so data records still riding the deferred tier
+     checkpoint routinely lands mid-epoch, so data records still riding the deferred tier
      persist with blum aux, and their evict-set entries came back with the
      sealed summaries. Without their keys in the shards' dirty lists the
      next scan could never balance those entries. The store aux is the
@@ -3010,14 +2887,13 @@ module Testing = struct
 
   (* Lock-order assertion hooks: with enforcement on, every acquisition in
      the core checks the documented order — shard tree locks ascending,
-     then worker locks ascending, with [bg_lock]/[redeferred_lock]/
-     [cold_lock] as annotated leaves — and these helpers let tests provoke
+     then worker locks ascending, with [redeferred_lock]/[cold_lock] as
+     annotated leaves — and these helpers let tests provoke
      violations directly. *)
   let enforce_lock_order on = Atomic.set Lock_order.enforce on
   let with_tree_lock t f = with_shard_lock t 0 f
   let with_shard_lock t sid f = with_shard_lock t sid f
   let with_worker_lock t wid f = with_worker_lock t wid f
-  let with_bg_lock t f = with_bg_lock t f
   let with_redeferred_lock t f = with_redeferred_lock t f
   let with_cold_lock t f = with_cold_lock t f
 end

@@ -144,15 +144,14 @@ module Batch : sig
     | Scanned of item array
     | Failed of string
 
-  val submit : ?worker:int -> ?pre_admitted:bool -> t -> op array -> reply array
+  val submit : ?pre_admitted:bool -> t -> op array -> reply array
   (** [submit t ops] processes every operation (honouring [batch_size]
       verification scans) and returns replies in submission order. Does not
       raise on per-operation integrity failures — they come back as
-      [Failed].
+      [Failed]. Every operation routes to the log buffer of the shard owning
+      its key ({!owner_of_key}), regardless of which domain drives it; a
+      scan that [batch_size] triggers runs on the submitting domain.
 
-      [?worker] is accepted for compatibility and ignored: since sharding,
-      every operation routes to the log buffer of the shard owning its key
-      ({!owner_of_key}), regardless of which executor drives it.
       [?pre_admitted] skips the gateway admission check on puts — for
       callers that already ran {!admit_put} on the dispatching domain to
       consume client nonces in arrival order; re-checking would burn the
@@ -200,45 +199,37 @@ val verify : t -> string
     and aggregate the shard folds into the store-level epoch certificate,
     which is returned.
 
+    The scan runs on the calling domain, which [verify] blocks until the
+    certificate is sealed; scans are serialized with each other and with
+    {!checkpoint}. The world stops only for the {e seal barrier} — an
+    O(shards) section that flushes the log buffers, snapshots the
+    per-shard dirty sets and bumps {!live_epoch}. The scan then runs over
+    the sealed snapshot concurrently with gets/puts on other domains, which
+    immediately fold into the next epoch; cached Merkle records stay
+    resident across the boundary. To overlap a scan with work on the same
+    domain, call [verify] from a domain of your own.
+
     With [n_shards > 1] the scan is parallel end-to-end: each shard's
     sorted dirty set, frontier migration, epoch close and shard seal run on
-    the shard's own spawned domain (slice timings land in [worker_busy_s]
-    and [fastver_verify_shard_seconds]); only the O(shards) fold
-    aggregation and the final certificate MAC stay serial. The multiset
-    folds are order-independent, so the certificate is bit-identical to the
-    1-shard scan's.
+    up to [Domain.recommended_domain_count] domains (slice timings land in
+    [worker_busy_s] and [fastver_verify_shard_seconds]); only the
+    O(shards) fold aggregation and the final certificate MAC stay serial.
+    The multiset folds are order-independent, so the certificate is
+    bit-identical to the 1-shard scan's. *)
 
-    With [Config.background_verify] the world stops only for the {e seal
-    barrier} — an O(shards) section that flushes the log buffers,
-    snapshots the per-shard dirty sets and bumps {!live_epoch} — and the
-    scan then runs over the sealed snapshot concurrently with foreground
-    gets/puts, which immediately fold into the next epoch. [verify] itself
-    still blocks its caller until the certificate is sealed (use
-    {!verify_async} to overlap); the certificate is bit-identical to the
-    quiesced scan's. *)
-
-val verify_async : t -> on_complete:((int * string, exn) result -> unit) -> unit
-(** Run the next verification scan on its own domain and return
-    immediately. [on_complete] fires on that domain with [(epoch,
-    certificate)] — or the raised exception (an [Integrity_violation]
-    poisons the verifier, so it also resurfaces on the next operation).
-    Scans are serialized: a dispatch while one is in flight queues behind
-    it. The spawned domain is joined by the next {!verify},
-    {!wait_verify} or {!checkpoint}, so callers that only ever dispatch
-    must call {!wait_verify} before discarding the system. *)
-
-val wait_verify : t -> unit
-(** Join the outstanding {!verify_async} scan, if any (its result still
-    goes to its own [on_complete]). No-op when none is in flight. *)
+val verify_epoch : t -> int * string
+(** {!verify}, also returning the epoch the certificate covers. Reading
+    {!current_epoch} before a [verify] call would race a concurrent scan
+    and name the wrong epoch. *)
 
 val verify_in_flight : t -> bool
-(** Whether a verification scan is currently queued or running (also
+(** Whether a verification scan is currently running (also
     surfaced as the [fastver_verify_in_flight] gauge). *)
 
 val live_epoch : t -> int
 (** The epoch operations fold into right now. Equal to {!current_epoch}
-    except while a background scan is in flight, when the verifier still
-    holds the sealed epoch open and [live_epoch] is one ahead. *)
+    except while a scan is in flight, when the verifier still holds the
+    sealed epoch open and [live_epoch] is one ahead. *)
 
 val flush : t -> unit
 (** Drain every shard's log buffer into its verifier. *)
@@ -253,8 +244,8 @@ val checkpoint : t -> dir:string -> (unit, string) result
 (** Persist the data records, per-shard merkle records and sealed verifier
     summaries (§7): run after {!verify} so that the on-disk state
     corresponds to a verified epoch. Serializes with verification scans (a
-    checkpoint issued during a background scan waits for the scan to
-    finish) and evicts all cached merkle records first — so a mid-epoch
+    checkpoint issued during a scan waits for the scan to finish) and
+    evicts all cached merkle records first — so a mid-epoch
     checkpoint under live traffic is well-defined: still-deferred records
     persist with their blum protection state, and recovery re-seeds the
     dirty sets from it. A recovered system therefore resumes from the last
@@ -399,11 +390,9 @@ val registry : t -> Fastver_obs.Registry.t
       [fastver_verify_shard_seconds{shard=...}] (per-shard parallel scan
       slices incl. close/seal), [fastver_verify_touched_records],
       [fastver_verify_pause_seconds] (the foreground pause per
-      verification: the whole scan when quiesced, only the seal barrier
-      with [background_verify]), [fastver_checkpoint_write_seconds],
+      verification: the seal barrier), [fastver_checkpoint_write_seconds],
       [fastver_recover_seconds] (histograms);
-    - [fastver_verify_in_flight] (gauge, 0/1: a scan is queued or
-      running);
+    - [fastver_verify_in_flight] (gauge, 0/1: a scan is running);
     - callback-backed: [fastver_epoch], [fastver_verified_epoch],
       [fastver_epoch_certificates_total],
       [fastver_verifier_ops_total{op=...}] (summed over shards),
@@ -499,11 +488,9 @@ module Testing : sig
   val enforce_lock_order : bool -> unit
   (** Globally enable the lock-order shadow: every lock acquisition in the
       core checks the documented order — shard tree locks in ascending
-      shard id, then worker locks in ascending id, with [bg_lock],
-      [redeferred_lock] and [cold_lock] as leaves ([redeferred_lock] and
-      [cold_lock] may be taken under tree/worker locks but nothing may be
-      taken under them; [bg_lock] may only be taken with nothing held) —
-      and raises [Invalid_argument] naming both locks on a violation. Off
+      shard id, then worker locks in ascending id, with [redeferred_lock]
+      and [cold_lock] as leaves (they may be taken under tree/worker locks
+      but nothing may be taken under them) — and raises [Invalid_argument] naming both locks on a violation. Off
       by default (one atomic load per lock operation when off). *)
 
   val with_tree_lock : t -> (unit -> 'a) -> 'a
@@ -511,7 +498,6 @@ module Testing : sig
 
   val with_shard_lock : t -> int -> (unit -> 'a) -> 'a
   val with_worker_lock : t -> int -> (unit -> 'a) -> 'a
-  val with_bg_lock : t -> (unit -> 'a) -> 'a
   val with_redeferred_lock : t -> (unit -> 'a) -> 'a
   val with_cold_lock : t -> (unit -> 'a) -> 'a
   (** Order-checked lock acquisition, exposed so tests can provoke

@@ -66,9 +66,8 @@ let create ~enabled () =
     verify_pause_seconds =
       Registry.histogram r ~scale:1e-9
         ~help:
-          "Foreground pause per verification (world-lock hold: the whole \
-           scan when quiesced, only the O(workers) seal barrier in \
-           background mode)"
+          "Foreground pause per verification (world-lock hold of the \
+           O(workers) seal barrier)"
         "fastver_verify_pause_seconds";
     verify_in_flight =
       Registry.gauge r

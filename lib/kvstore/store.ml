@@ -432,12 +432,11 @@ let compact_cold t ~min_dead_ratio =
    key(34) aux(8) tag(1) and either an inline payload (tag 0: len(4) data)
    or a cold-tier reference (tag 1: seg(4) off(8) len(4)) — cold values are
    already durable in their segment, so the checkpoint stores the pointer
-   and the cold manifest vouches for the segment. FVCKPT02 (inline-only, no
-   tag byte) is still readable; FVCKPT01 truncated the version through int32
-   and is rejected explicitly. *)
+   and the cold manifest vouches for the segment. The older formats are
+   rejected explicitly: FVCKPT02 (inline-only, no tag byte) and FVCKPT01
+   (version truncated through int32). *)
 let magic = "FVCKPT03"
-let magic_v2 = "FVCKPT02"
-let legacy_magic = "FVCKPT01" (* int32 version header; no longer readable *)
+let legacy_magics = [ "FVCKPT01"; "FVCKPT02" ]
 
 let checkpoint t ~path ~version =
   Ckpt_io.with_atomic_file path @@ fun w ->
@@ -494,13 +493,14 @@ let recover ?mutable_region_entries ?spill ?cold ~codec ~path () =
           let size = in_channel_length ic in
           match really_input_string ic (String.length magic) with
           | exception End_of_file -> Error "checkpoint truncated"
-          | m when m = legacy_magic ->
+          | m when List.mem m legacy_magics ->
               Error
-                "unsupported legacy checkpoint format FVCKPT01; \
-                 re-checkpoint with this release"
-          | m when m <> magic && m <> magic_v2 -> Error "bad checkpoint magic"
-          | m -> (
-              let v3 = m = magic in
+                (Printf.sprintf
+                   "unsupported legacy checkpoint format %s; re-checkpoint \
+                    with this release"
+                   m)
+          | m when m <> magic -> Error "bad checkpoint magic"
+          | _ -> (
               try
                 let header = really_input_string ic 16 in
                 let version64 = String.get_int64_le header 0 in
@@ -508,13 +508,13 @@ let recover ?mutable_region_entries ?spill ?cold ~codec ~path () =
                 then failwith "checkpoint: bad version";
                 let version = Int64.to_int version64 in
                 let count64 = String.get_int64_le header 8 in
-                (* Each record occupies at least 34 + 12 bytes (v2) or
-                   34 + 13 (v3, inline empty payload). *)
+                (* Each record occupies at least 34 + 13 bytes (an inline
+                   empty payload). *)
                 let remaining = size - String.length magic - 16 in
                 if
                   count64 < 0L
                   || Int64.of_int (Int64.to_int count64) <> count64
-                  || Int64.to_int count64 > remaining / 46
+                  || Int64.to_int count64 > remaining / 47
                 then failwith "checkpoint: implausible record count";
                 let count = Int64.to_int count64 in
                 let t = create ?mutable_region_entries ?spill ?cold ~codec () in
@@ -540,44 +540,36 @@ let recover ?mutable_region_entries ?spill ?cold ~codec ~path () =
                 in
                 for _ = 1 to count do
                   let kenc = really_input_string ic 34 in
-                  if v3 then begin
-                    let meta = really_input_string ic 9 in
-                    let aux = String.get_int64_le meta 0 in
-                    match meta.[8] with
-                    | '\000' ->
-                        let len32 = really_input_string ic 4 in
-                        put_inline (decode_key kenc) aux
-                          (Int32.to_int (String.get_int32_le len32 0))
-                    | '\001' -> (
-                        let refb = really_input_string ic 16 in
-                        let seg = Int32.to_int (String.get_int32_le refb 0) in
-                        let off64 = String.get_int64_le refb 4 in
-                        let len = Int32.to_int (String.get_int32_le refb 12) in
-                        if
-                          off64 < 0L
-                          || Int64.of_int (Int64.to_int off64) <> off64
-                          || seg < 0 || len < 0
-                        then failwith "checkpoint: malformed cold reference";
-                        let cref =
-                          { Cold.seg; off = Int64.to_int off64; len }
-                        in
-                        match cold with
-                        | None ->
-                            failwith
-                              "checkpoint references cold segments but no \
-                               cold tier is configured"
-                        | Some c -> (
-                            match Cold.validate_ref c cref with
-                            | Error e -> failwith ("checkpoint: " ^ e)
-                            | Ok () -> put_cold t (decode_key kenc) ~cref ~aux))
-                    | _ -> failwith "checkpoint: unknown record tag"
-                  end
-                  else begin
-                    let meta = really_input_string ic 12 in
-                    let aux = String.get_int64_le meta 0 in
-                    let len = Int32.to_int (String.get_int32_le meta 8) in
-                    put_inline (decode_key kenc) aux len
-                  end
+                  let meta = really_input_string ic 9 in
+                  let aux = String.get_int64_le meta 0 in
+                  match meta.[8] with
+                  | '\000' ->
+                      let len32 = really_input_string ic 4 in
+                      put_inline (decode_key kenc) aux
+                        (Int32.to_int (String.get_int32_le len32 0))
+                  | '\001' -> (
+                      let refb = really_input_string ic 16 in
+                      let seg = Int32.to_int (String.get_int32_le refb 0) in
+                      let off64 = String.get_int64_le refb 4 in
+                      let len = Int32.to_int (String.get_int32_le refb 12) in
+                      if
+                        off64 < 0L
+                        || Int64.of_int (Int64.to_int off64) <> off64
+                        || seg < 0 || len < 0
+                      then failwith "checkpoint: malformed cold reference";
+                      let cref =
+                        { Cold.seg; off = Int64.to_int off64; len }
+                      in
+                      match cold with
+                      | None ->
+                          failwith
+                            "checkpoint references cold segments but no \
+                             cold tier is configured"
+                      | Some c -> (
+                          match Cold.validate_ref c cref with
+                          | Error e -> failwith ("checkpoint: " ^ e)
+                          | Ok () -> put_cold t (decode_key kenc) ~cref ~aux))
+                  | _ -> failwith "checkpoint: unknown record tag"
                 done;
                 Ok (t, version)
               with

@@ -135,10 +135,10 @@ val recover :
   unit ->
   ('v t * int, string) result
 (** Returns the store and the checkpoint version, or an error if the file is
-    missing or corrupt. Reads the current [FVCKPT03] format and the previous
-    inline-only [FVCKPT02]; the legacy [FVCKPT01] magic (int32 version
-    header) is rejected with an explicit unsupported-format error rather
-    than a generic bad-magic one. Cold references are validated against
+    missing or corrupt. Reads the current [FVCKPT03] format; the legacy
+    [FVCKPT02] (inline-only) and [FVCKPT01] (int32 version header) magics
+    are rejected with an explicit unsupported-format error rather than a
+    generic bad-magic one. Cold references are validated against
     [cold] (recovered from the same generation's manifest) — a checkpoint
     that references cold segments recovers to [Error _] when no cold tier is
     configured. Total on untrusted input: every on-disk length and count is

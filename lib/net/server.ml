@@ -96,22 +96,22 @@ type conn = {
   mutable dead : bool; (* close now, discard output *)
 }
 
-(* One executor batch: data operations for a single owning worker, run
-   through [Fastver.Batch.submit ~worker] off the I/O domain. Executors
+(* One executor job, run off the I/O domain (or inline when there is no
+   pool): a batch of data operations for a single owning shard, run
+   through [Fastver.Batch.submit], or one verification scan. Executors
    never see a [conn] or an fd — they only fill the reply slots. *)
-type job = {
-  j_owner : int option; (* [None] = unpinned (inline single-domain mode) *)
-  j_ops : (int64 * Fastver.Batch.op * Wire.response option Atomic.t) array;
+type job =
+  | Ops of (int64 * Fastver.Batch.op * Wire.response option Atomic.t) array
       (* (wire nonce, op, reply slot) *)
-}
+  | Verify of Wire.response option Atomic.t
 
 (* Executor pool (active when the system has more than one shard): one
    domain per verifier shard, fed over a bounded queue each. Routing jobs
    by key owner keeps every shard's locks, tree and verification-log buffer
    touched from one executor at a time, and the per-owner FIFO makes
    operations on the same key execute in arrival order (same key -> same
-   shard -> same queue). Cross-shard requests (scans, verify, admin)
-   quiesce the pool first. *)
+   shard -> same queue). Cross-shard requests (scans, admin) quiesce the
+   pool first; a verify runs as a job on executor 0. *)
 type pool = {
   n_execs : int;
   queues : job Fastver.Bounded_queue.t array; (* one SPSC queue per executor *)
@@ -137,12 +137,6 @@ type t = {
   mutable conns : conn list;
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
-  vwake_r : Unix.file_descr;
-      (* background-verification completion -> select wake-up: the
-         [Fastver.verify_async] callback runs on the scan domain, where
-         filling a reply slot alone would leave the response sitting until
-         unrelated traffic re-entered the event loop *)
-  vwake_w : Unix.file_descr;
   stopping : bool Atomic.t;
   mutable domain : unit Domain.t option;
   metrics : metrics;
@@ -184,9 +178,6 @@ let create ?(config = default_config) sys ~listen =
           in
           let stop_r, stop_w = Unix.pipe ~cloexec:true () in
           Unix.set_nonblock stop_r;
-          let vwake_r, vwake_w = Unix.pipe ~cloexec:true () in
-          Unix.set_nonblock vwake_r;
-          Unix.set_nonblock vwake_w;
           let pool =
             (* One executor per verifier shard: batches are grouped by
                {!Fastver.owner_of_key}, which names shards, so the queue
@@ -223,8 +214,6 @@ let create ?(config = default_config) sys ~listen =
               conns = [];
               stop_r;
               stop_w;
-              vwake_r;
-              vwake_w;
               stopping = Atomic.make false;
               domain = None;
               metrics = make_metrics sys;
@@ -326,8 +315,8 @@ let stats_reply t =
     }
 
 (* Classify a request: [`Data] ops accumulate into the next worker-loop
-   drain; [`Admin] ops run inline at their position so per-connection
-   ordering is exact. *)
+   drain; [`Verify] runs as a job like them; [`Admin] ops run inline at
+   their position so per-connection ordering is exact. *)
 let classify t conn req =
   let auth = (Fastver.config t.sys).authenticate_clients in
   let client () =
@@ -390,19 +379,7 @@ let classify t conn req =
                   (Fastver_verifier.Verifier.epoch_certificate_message ~epoch)
               in
               Wire.Verified { epoch; cert })
-      else if (Fastver.config t.sys).background_verify then
-        (* No quiesce, no blocking the I/O domain: the scan runs on a
-           background domain and the reply slot is filled from its
-           completion callback (see [`Verify] in [drain]). *)
-        `Verify
-      else
-        `Admin
-          (fun _conn ->
-            let epoch = Fastver.current_epoch t.sys in
-            match Fastver.verify t.sys with
-            | cert -> Wire.Verified { epoch; cert }
-            | exception Fastver.Integrity_violation e ->
-                Wire.Error ("integrity: " ^ e))
+      else `Verify
   | Wire.Stats -> `Admin (fun _conn -> stats_reply t)
   | Wire.Metrics { format } ->
       `Admin
@@ -438,28 +415,41 @@ let nonce_of = function
 (* Executor pool                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Run one batch of data operations and fill its reply slots. Puts were
-   already admitted on the I/O domain (client MAC + nonce consumed in
-   arrival order), so the submit skips re-admission. Called from executor
-   domains and, in single-worker mode, inline on the I/O domain. *)
-let run_job t (job : job) =
-  let ops = Array.map (fun (_, op, _) -> op) job.j_ops in
-  let replies =
-    try Fastver.Batch.submit ?worker:job.j_owner ~pre_admitted:true t.sys ops
-    with exn ->
-      (* [Batch.submit] maps per-op failures to [Failed] itself; anything
-         escaping (e.g. a tampering detection in an auto-triggered
-         verification scan) must not kill an executor domain. *)
-      Array.map (fun _ -> Fastver.Batch.Failed (Printexc.to_string exn)) ops
-  in
-  Array.iteri
-    (fun i (nonce, _, slot) ->
-      (match replies.(i) with
-      | Fastver.Batch.Failed _ ->
-          Fastver_obs.Counter.incr t.metrics.m_op_failures
-      | _ -> ());
-      Atomic.set slot (Some (response_of_reply nonce replies.(i))))
-    job.j_ops
+(* Run one job and fill its reply slots. Puts were already admitted on
+   the I/O domain (client MAC + nonce consumed in arrival order), so the
+   submit skips re-admission. Called from executor domains and, in
+   single-shard mode, inline on the I/O domain. Nothing may escape: a
+   tampering detection (in a requested or an auto-triggered scan) must
+   not kill an executor domain. *)
+let run_job t = function
+  | Ops entries ->
+      let ops = Array.map (fun (_, op, _) -> op) entries in
+      let replies =
+        (* [Batch.submit] maps per-op failures to [Failed] itself. *)
+        try Fastver.Batch.submit ~pre_admitted:true t.sys ops
+        with exn ->
+          Array.map (fun _ -> Fastver.Batch.Failed (Printexc.to_string exn)) ops
+      in
+      Array.iteri
+        (fun i (nonce, _, slot) ->
+          (match replies.(i) with
+          | Fastver.Batch.Failed _ ->
+              Fastver_obs.Counter.incr t.metrics.m_op_failures
+          | _ -> ());
+          Atomic.set slot (Some (response_of_reply nonce replies.(i))))
+        entries
+  | Verify slot ->
+      let fail reason =
+        Fastver_obs.Counter.incr t.metrics.m_op_failures;
+        Wire.Error ("integrity: " ^ reason)
+      in
+      let resp =
+        match Fastver.verify_epoch t.sys with
+        | epoch, cert -> Wire.Verified { epoch; cert }
+        | exception Fastver.Integrity_violation r -> fail r
+        | exception e -> fail (Printexc.to_string e)
+      in
+      Atomic.set slot (Some resp)
 
 (* One-byte wake-up write into a select-loop pipe. EAGAIN/EWOULDBLOCK are
    success: a full pipe already guarantees a pending wake-up. EPIPE/EBADF
@@ -495,8 +485,8 @@ let executor t p wid () =
   loop ()
 
 (* Wait until every dispatched job has completed (its slots filled). The
-   barrier before cross-partition work: verify, stats, metrics, session
-   admin and multi-key scans all observe a quiescent pool. *)
+   barrier before cross-partition work: stats, metrics, session admin and
+   multi-key scans all observe a quiescent pool. *)
 let barrier p =
   Mutex.lock p.idle_lock;
   while Atomic.get p.in_flight > 0 do
@@ -511,11 +501,13 @@ let dispatch t p ~owner job =
        run the job, so fail its operations in place — the reply slots must
        fill (a [closing] connection waits on them) and [in_flight] must
        come back down or the final [barrier] would hang the shutdown. *)
-    Array.iter
-      (fun (_, _, slot) ->
-        Fastver_obs.Counter.incr t.metrics.m_op_failures;
-        Atomic.set slot (Some (Wire.Error "shutdown: server stopping")))
-      job.j_ops;
+    let fail slot =
+      Fastver_obs.Counter.incr t.metrics.m_op_failures;
+      Atomic.set slot (Some (Wire.Error "shutdown: server stopping"))
+    in
+    (match job with
+    | Ops entries -> Array.iter (fun (_, _, slot) -> fail slot) entries
+    | Verify slot -> fail slot);
     Mutex.lock p.idle_lock;
     ignore (Atomic.fetch_and_add p.in_flight (-1));
     if Atomic.get p.in_flight = 0 then Condition.broadcast p.idle_cond;
@@ -531,9 +523,10 @@ let admit t (op : Fastver.Batch.op) =
 (* Drain up to [batch_limit] pending requests. Data operations accumulate
    into per-owner groups — one [Batch.submit] (one log flush) per owner per
    drain — dispatched to the executor pool, or run inline as a single
-   unpinned batch when there is no pool. Admin operations and scans
-   quiesce the pool and run at their exact position; reply slots keep
-   per-connection response order either way. *)
+   batch when there is no pool. A verify is dispatched the same way, as a
+   job of its own. Admin operations and scans quiesce the pool and run at
+   their exact position; reply slots keep per-connection response order
+   either way. *)
 let drain t =
   if not (Queue.is_empty t.pending) then begin
     let batch = ref [] and n = ref 0 in
@@ -548,6 +541,11 @@ let drain t =
     let groups = Array.make n_groups [] in
     (* (nonce, op, slot), newest first *)
     let any = ref false in
+    let submit ~owner job =
+      match t.pool with
+      | None -> run_job t job
+      | Some p -> dispatch t p ~owner job
+    in
     let flush_acc () =
       if !any then begin
         any := false;
@@ -556,16 +554,7 @@ let drain t =
             | [] -> ()
             | entries ->
                 groups.(owner) <- [];
-                let job =
-                  {
-                    j_owner =
-                      (match t.pool with Some _ -> Some owner | None -> None);
-                    j_ops = Array.of_list (List.rev entries);
-                  }
-                in
-                match t.pool with
-                | None -> run_job t job
-                | Some p -> dispatch t p ~owner job)
+                submit ~owner (Ops (Array.of_list (List.rev entries))))
           groups
       end
     in
@@ -597,32 +586,21 @@ let drain t =
                          against a quiescent pool so it observes every
                          earlier put. *)
                       quiesce ();
-                      run_job t { j_owner = None; j_ops = [| entry |] }
+                      run_job t (Ops [| entry |])
                   | None, _ ->
                       groups.(0) <- entry :: groups.(0);
                       any := true))
           | `Verify ->
               (* Dispatch (not barrier) the data ops accumulated so far, so
-                 this connection's earlier puts are at least in executor
-                 queues when the scan domain seals the epoch boundary; the
-                 certificate covers whatever prefix beat the seal, exactly
-                 the contract of a concurrent verification. *)
+                 this drain's earlier puts are at least in executor queues
+                 when the scan seals the epoch boundary; the certificate
+                 covers whatever prefix beat the seal, exactly the contract
+                 of a concurrent verification. Executors keep serving gets
+                 and puts into the next epoch while the scan runs. *)
               flush_acc ();
               let slot = Atomic.make None in
               Queue.push (id, arrived, slot) conn.slots;
-              Fastver.verify_async t.sys ~on_complete:(fun res ->
-                  (match res with
-                  | Ok (epoch, cert) ->
-                      Atomic.set slot (Some (Wire.Verified { epoch; cert }))
-                  | Error e ->
-                      Fastver_obs.Counter.incr t.metrics.m_op_failures;
-                      let reason =
-                        match e with
-                        | Fastver.Integrity_violation r -> r
-                        | e -> Printexc.to_string e
-                      in
-                      Atomic.set slot (Some (Wire.Error ("integrity: " ^ reason))));
-                  wake t t.vwake_w)
+              submit ~owner:0 (Verify slot)
           | `Admin f ->
               quiesce ();
               post t conn id ~arrived (f conn)
@@ -743,7 +721,7 @@ let run t =
   while not (Atomic.get t.stopping) do
     let backpressured = Queue.length t.pending >= t.cfg.queue_limit in
     let read_fds =
-      t.stop_r :: t.vwake_r :: t.listener
+      t.stop_r :: t.listener
       :: List.filter_map
            (fun c ->
              if
@@ -764,8 +742,8 @@ let run t =
         t.conns
     in
     (* Block until an fd is ready: [drain] below always empties [pending],
-       and every other wake source — stop, pool completions, background
-       verification completions, new frames — is a pipe or socket in
+       and every other wake source — stop, pool completions, new frames —
+       is a pipe or socket in
        [read_fds]. A zero timeout here would busy-spin the I/O domain
        whenever a single slow executor kept any request pending. *)
     match Unix.select read_fds write_fds [] (-1.0) with
@@ -788,13 +766,6 @@ let run t =
               done
             with Unix.Unix_error _ -> ())
         | _ -> ());
-        (if List.mem t.vwake_r readable then
-           let buf = Bytes.create 256 in
-           try
-             while Unix.read t.vwake_r buf 0 256 = 256 do
-               ()
-             done
-           with Unix.Unix_error _ -> ());
         if List.mem t.listener readable then accept_loop t;
         List.iter
           (fun c -> if List.mem c.fd readable then handle_readable t c)
@@ -821,12 +792,6 @@ let run t =
       (try Unix.close p.wake_r with Unix.Unix_error _ -> ());
       (try Unix.close p.wake_w with Unix.Unix_error _ -> ())
   | None -> ());
-  (* Executors are gone, so no new scan can start; join any background
-     verification still running before its completion callback could write
-     a closed vwake fd. *)
-  Fastver.wait_verify t.sys;
-  (try Unix.close t.vwake_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.vwake_w with Unix.Unix_error _ -> ());
   List.iter (close_conn t) t.conns;
   t.conns <- [];
   (try Unix.close t.listener with Unix.Unix_error _ -> ());

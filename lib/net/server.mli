@@ -16,17 +16,15 @@
     clients may pipeline freely; operations on the {e same} key execute in
     arrival order (same key → same owner → same FIFO queue), while
     independent keys may execute in parallel. Cross-partition requests —
-    scans, verify, stats, metrics, session admin — quiesce the pool first
-    and run at their exact position.
+    scans, stats, metrics, session admin — quiesce the pool first and run
+    at their exact position.
 
-    Exception: with {!Fastver.Config.t.background_verify} set, [Verify]
-    does {e not} quiesce. The epoch boundary is sealed under a brief
-    O(workers) barrier and the scan runs on a background domain
-    ({!Fastver.verify_async}) while executors keep serving gets and puts
-    into the next epoch; the response is emitted when the scan completes
-    (a dedicated wake pipe re-enters the select loop, so the reply never
-    waits for unrelated traffic). The certificate is bit-identical to the
-    one a quiescent scan of the same epoch would produce.
+    [Verify] is dispatched like data operations: with an executor pool it
+    runs as a job on executor 0, without one it runs inline. The epoch
+    boundary is sealed under a brief O(workers) barrier and the scan then
+    runs alongside the other executors, which keep serving gets and puts
+    into the next epoch ({!Fastver.verify}); the response is emitted when
+    the scan completes.
 
     Robustness properties:
     - {e backpressure}: the pending-request queue is bounded; when it (or a
@@ -37,10 +35,10 @@
     - {e clean shutdown}: {!stop} wakes the loop, which closes the executor
       queues, fails any batch that raced the close with an explicit
       [shutdown] error (never a crash: {!Fastver.Bounded_queue.push} is
-      total), joins executors and any in-flight background verification,
-      then closes every socket and removes the Unix socket file;
+      total), joins executors (finishing any scan they are running), then
+      closes every socket and removes the Unix socket file;
     - {e no busy-wait}: the loop always blocks in [select] — completions
-      from executor domains and background scans arrive over wake pipes,
+      from executor domains arrive over a wake pipe,
       and wake-up writes that fail for a real reason (not a full pipe, not
       an orderly shutdown) are logged and counted
       ([fastver_net_lost_wakeups_total]) instead of silently dropped. *)

@@ -242,6 +242,10 @@ let handle_boundary t ~epoch ~cert ~stream_mac ~term =
       | None -> Fastver.delete_key t.sys k);
       Fastver_obs.Counter.incr t.m_applied)
     ops;
+  (* Counted before the local seal: [verified_epoch] reads the store, which
+     moves inside [Fastver.verify], so a reader that sees the epoch sealed
+     must already see its ops counted. *)
+  with_lock t.lock (fun () -> t.applied <- t.applied + List.length ops);
   (* Seal locally: the follower's own verifier re-checks the epoch balance
      over the replayed ops, and its live epoch advances in lockstep with
      the primary's — receipts served from here on are stamped [>= epoch]. *)
@@ -252,7 +256,6 @@ let handle_boundary t ~epoch ~cert ~stream_mac ~term =
   with_lock t.lock (fun () ->
       Hashtbl.remove t.pending epoch;
       Hashtbl.remove t.digests epoch;
-      t.applied <- t.applied + List.length ops;
       if epoch > t.max_seen then t.max_seen <- epoch;
       (* The chain term advances only here: the boundary authenticated, so
          our newest verified epoch really was sealed under [term]. *)
@@ -265,10 +268,9 @@ exception Disconnected_exn
 
 let stream_once t conn =
   match Client.recv conn with
-  | _, Wire.Repl_op { epoch; key; value } -> record_op t ~epoch ~key ~value
   | _, Wire.Repl_batch { epoch; ops } ->
-      (* Exactly the equivalent Repl_op run: fold and buffer each op in
-         order; authentication still happens only at the boundary record. *)
+      (* Fold and buffer each op in order; authentication happens only at
+         the boundary record. *)
       Array.iter (fun (key, value) -> record_op t ~epoch ~key ~value) ops
   | _, Wire.Repl_epoch { epoch; cert; stream_mac; term } ->
       handle_boundary t ~epoch ~cert ~stream_mac ~term

@@ -135,7 +135,10 @@ val verified_epoch : t -> int
 (** Highest epoch applied and locally verified ([-1] if none). *)
 
 val applied_ops : t -> int
-(** Streamed ops applied to the local store (verified epochs only). *)
+(** Streamed ops applied to the local store. Ops are applied only once
+    their epoch's boundary record authenticates, and are counted before
+    the local re-verification seals the epoch, so the count never lags
+    {!verified_epoch}. *)
 
 val run_id : t -> int64 option
 (** The primary incarnation last subscribed to. *)

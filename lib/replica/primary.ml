@@ -152,35 +152,21 @@ let on_op t ~epoch ~key ~value =
         in
         Hashtbl.replace t.digests epoch (Stream.fold digest ~epoch ~key ~value);
         Fastver_obs.Counter.incr t.m_ops;
-        if t.cfg.batch_ops <= 1 then begin
-          (* Legacy per-op framing (batch_ops <= 1): one frame per op. *)
-          let frame =
-            Wire.encode_response_into t.enc ~id:0L
-              (Wire.Repl_op { epoch; key; value })
-          in
-          t.log <- (epoch, frame) :: t.log;
-          t.frames <- t.frames + 1;
-          Fastver_obs.Counter.incr t.m_frames;
-          broadcast t frame;
+        if t.batch_n > 0 && t.batch_epoch <> epoch then flush_batch t;
+        if t.batch_n = 0 then begin
+          t.batch_epoch <- epoch;
+          t.batch_since <- now
+        end;
+        t.batch <- (key, value) :: t.batch;
+        t.batch_n <- t.batch_n + 1;
+        if t.batch_n >= t.cfg.batch_ops then begin
+          flush_batch t;
           true
         end
-        else begin
-          if t.batch_n > 0 && t.batch_epoch <> epoch then flush_batch t;
-          if t.batch_n = 0 then begin
-            t.batch_epoch <- epoch;
-            t.batch_since <- now
-          end;
-          t.batch <- (key, value) :: t.batch;
-          t.batch_n <- t.batch_n + 1;
-          if t.batch_n >= t.cfg.batch_ops then begin
-            flush_batch t;
-            true
-          end
-          else
-            (* Wake only on the first buffered op, so the loop re-arms its
-               select timeout to the batch_delay time cap. *)
-            t.batch_n = 1
-        end)
+        else
+          (* Wake only on the first buffered op, so the loop re-arms its
+             select timeout to the batch_delay time cap. *)
+          t.batch_n = 1)
   in
   if want_wake then wake t
 

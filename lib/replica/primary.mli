@@ -45,8 +45,7 @@ type config = {
           checkpoint catch-up *)
   batch_ops : int;
       (** ops coalesced into one [Repl_batch] frame before a forced flush
-          (default 512); [<= 1] restores per-op [Repl_op] framing. Batches
-          also flush at every epoch seal, at any epoch change, before a
+          (default 512; [1] sends one op per frame). Batches also flush at every epoch seal, at any epoch change, before a
           subscriber's replay snapshot, and after {!batch_delay}. The
           per-op stream digest and boundary MAC are unchanged — batching
           is pure framing. *)
@@ -98,8 +97,8 @@ val sealed_epoch : t -> int
 (** Highest epoch whose boundary record has been emitted ([-1] if none). *)
 
 val frames_emitted : t -> int
-(** Op-carrying stream frames emitted so far ([Repl_op] or [Repl_batch] —
-    boundary records excluded). With batching, ops/frames ≈ the realised
+(** Op-carrying [Repl_batch] stream frames emitted so far (boundary
+    records excluded). With batching, ops/frames ≈ the realised
     coalescing factor. *)
 
 val followers : t -> int

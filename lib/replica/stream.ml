@@ -41,8 +41,8 @@ let fold digest ~epoch ~key ~value =
 (* The fencing term rides under the boundary MAC too — otherwise a relay
    could re-stamp a deposed primary's records with the current term and
    defeat the monotone-term check. Term 0 ("before any election") keeps the
-   legacy message byte-identical, so v1 boundary records and never-elected
-   clusters interoperate unchanged. *)
+   pre-election message byte-identical, so a never-elected cluster's
+   boundary MACs are unchanged by the term field. *)
 let boundary_message ~term ~epoch ~digest =
   if term = 0 then Printf.sprintf "fastver-repl-epoch:%d:%s" epoch digest
   else Printf.sprintf "fastver-repl-epoch:%d:t%d:%s" epoch term digest

@@ -1,8 +1,8 @@
 (** Integrity of the replication stream itself.
 
     Epoch certificates authenticate epoch numbers, not op payloads; the
-    stream adds a per-epoch running digest over every {!Wire.response.Repl_op}
-    record, and the boundary record carries an HMAC over (epoch, digest)
+    stream adds a per-epoch running digest over every op a
+    {!Wire.response.Repl_batch} carries, and the boundary record carries an HMAC over (epoch, digest)
     under the shared secret. Primary and follower fold identically; a single
     flipped bit in any streamed op (or a dropped/injected/reordered op)
     changes the follower's digest and the boundary MAC no longer checks. *)
@@ -18,9 +18,9 @@ val fold : string -> epoch:int -> key:string -> value:string option -> string
 val boundary_mac :
   mac_secret:string -> ?term:int -> epoch:int -> digest:string -> unit -> string
 (** The [stream_mac] the primary puts in its epoch-boundary record. The
-    fencing [term] (default 0) is covered by the MAC; term 0 produces the
-    pre-election (wire v1) message byte-for-byte, so both framings
-    interoperate. *)
+    fencing [term] (default 0) is covered by the MAC; term 0 keeps the
+    pre-election message byte-for-byte, so a never-elected cluster's
+    boundary MACs are unchanged by the term field. *)
 
 val check_boundary_mac :
   mac_secret:string ->

@@ -213,6 +213,43 @@ let test_values_survive_rotation () =
   done;
   ignore (Fastver.verify t)
 
+(* Scans leave verifier caches resident, so the controller can shrink a
+   shard's capacity below what it holds. Fill shard 0's cache, move all
+   traffic to shard 1 so the next seal shrinks shard 0 to its floor, then
+   read a shard-0 key whose whole chain is still resident: that read adds
+   its data record without loading any chain record, and must still find
+   room. *)
+let test_shrink_below_resident () =
+  let t = Fastver.create ~config:(config ~shards:2 ()) () in
+  let n = 512 in
+  Fastver.load t
+    (Array.init n (fun i -> (Int64.of_int i, Printf.sprintf "v%06d" i)));
+  let keys_of sid =
+    List.filter
+      (fun k -> Fastver.owner_of_key t k = sid)
+      (List.init n Int64.of_int)
+  in
+  let shard0 = keys_of 0 and shard1 = keys_of 1 in
+  List.iter (fun k -> ignore (Fastver.get t k)) shard0;
+  ignore (Fastver.verify t);
+  for _ = 1 to 3 do
+    List.iter (fun k -> ignore (Fastver.get t k)) shard1
+  done;
+  ignore (Fastver.verify t);
+  let cap0 = (Fastver.adaptive_state t).(0).a_cache_cap in
+  Alcotest.(check bool)
+    (Printf.sprintf "shard 0 shrank (capacity %d)" cap0)
+    true (cap0 < 64);
+  List.iter
+    (fun k ->
+      Alcotest.(check vo) "shard-0 read after the shrink"
+        (Some (Printf.sprintf "v%06d" (Int64.to_int k)))
+        (Fastver.get t k))
+    shard0;
+  ignore (Fastver.verify t);
+  Alcotest.(check bool) "verifier healthy" true
+    (Fastver.verifier_failure t = None)
+
 (* ------------------------------------------------------------------ *)
 (* Recovery with adaptive state mid-flight                             *)
 (* ------------------------------------------------------------------ *)
@@ -268,6 +305,8 @@ let suite =
         test_cert_identity_across_widths;
       Alcotest.test_case "certificates equal adaptive vs static" `Quick
         test_cert_identity_vs_static;
+      Alcotest.test_case "cache shrink below resident count" `Quick
+        test_shrink_below_resident;
       Alcotest.test_case "values survive hot-set rotation" `Quick
         test_values_survive_rotation;
       Alcotest.test_case "recovery with adaptive state mid-flight" `Quick

@@ -104,24 +104,35 @@ let test_recover_corrupt () =
   | Ok _ -> Alcotest.fail "accepted corrupt checkpoint");
   Sys.remove dir
 
-(* A checkpoint from the FVCKPT01 era must be called out as a format change,
-   not lumped in with arbitrary corruption. *)
+(* A checkpoint from the FVCKPT01 or FVCKPT02 era must be called out as a
+   format change, not lumped in with arbitrary corruption. Each input is a
+   well-formed header of its format holding zero records. *)
 let test_recover_legacy_magic () =
-  let path = Filename.temp_file "fv" "legacy" in
-  let oc = open_out_bin path in
-  output_string oc "FVCKPT01";
-  output_string oc (String.make 12 '\000') (* old int32-version header *);
-  close_out oc;
-  (match Store.recover ~codec:Store.string_codec ~path () with
-  | Ok _ -> Alcotest.fail "accepted a legacy checkpoint"
-  | Error e ->
-      let mentions_legacy =
-        let n = String.length e and m = String.length "legacy" in
-        let rec at i = i + m <= n && (String.sub e i m = "legacy" || at (i + 1)) in
-        at 0
-      in
-      Alcotest.(check bool) ("explicit legacy error: " ^ e) true mentions_legacy);
-  Sys.remove path
+  List.iter
+    (fun (magic, header) ->
+      let path = Filename.temp_file "fv" "legacy" in
+      let oc = open_out_bin path in
+      output_string oc magic;
+      output_string oc header;
+      close_out oc;
+      (match Store.recover ~codec:Store.string_codec ~path () with
+      | Ok _ -> Alcotest.failf "accepted a legacy %s checkpoint" magic
+      | Error e ->
+          let mentions_legacy =
+            let n = String.length e and m = String.length "legacy" in
+            let rec at i =
+              i + m <= n && (String.sub e i m = "legacy" || at (i + 1))
+            in
+            at 0
+          in
+          Alcotest.(check bool)
+            (magic ^ " explicit legacy error: " ^ e)
+            true mentions_legacy);
+      Sys.remove path)
+    [
+      ("FVCKPT01", String.make 12 '\000') (* int32 version + count *);
+      ("FVCKPT02", String.make 16 '\000') (* int64 version + count *);
+    ]
 
 (* The verified epoch is an int64 on disk: versions past 2^31 must
    round-trip instead of truncating through int32. *)

@@ -1,10 +1,10 @@
 (* The domain-parallel runtime (§5.3 thread model): integrity must hold under
    genuine concurrency — contended CAS retries, cross-domain Merkle routing,
-   stop-the-world verification scans. *)
+   verification scans racing live traffic. *)
 
 let vo = Alcotest.(option string)
 
-let mk ?(workers = 4) ?(batch = 0) ?(bg = false) n =
+let mk ?(workers = 4) ?(batch = 0) n =
   let config =
     {
       Fastver.Config.default with
@@ -13,7 +13,6 @@ let mk ?(workers = 4) ?(batch = 0) ?(bg = false) n =
       frontier_levels = 3;
       cost_model = Cost_model.zero;
       authenticate_clients = false;
-      background_verify = bg;
     }
   in
   let t = Fastver.create ~config () in
@@ -124,8 +123,8 @@ let test_worker_failed_propagates () =
         (Printexc.to_string e)
 
 let test_verify_races_concurrent_process () =
-  (* Stop-the-world verification scans (which themselves fan out to slice
-     domains) racing live operations from other domains: no deadlock, every
+  (* Verification scans (which themselves fan out to slice domains) racing
+     live operations from other domains: no deadlock, every
      certificate checks out, verifier stays healthy. *)
   let n = 512 in
   let t = mk ~workers:4 n in
@@ -181,44 +180,13 @@ let test_parallel_scan_cert_matches_sequential () =
   Alcotest.(check int) "same epoch" e1 e4;
   Alcotest.(check string) "identical certificate" c1 c4
 
-let test_background_cert_matches_quiesced () =
-  (* The tentpole guarantee: a background scan — epoch sealed under the
-     brief barrier, verification run against the snapshot while later
-     traffic lands in the next epoch — must verify the same epochs and seal
-     bit-identical certificates to a stop-the-world scan of the same
-     logical history. *)
-  let run bg =
-    let t = mk ~workers:4 ~bg 64 in
-    for i = 0 to 299 do
-      Fastver.put t (Int64.of_int (i mod 50)) (Printf.sprintf "x%d" i)
-    done;
-    let e1 = Fastver.current_epoch t in
-    let c1 = Fastver.verify t in
-    (* second epoch: traffic that crossed the first seal must balance *)
-    for i = 0 to 99 do
-      Fastver.put t (Int64.of_int (i mod 50)) (Printf.sprintf "y%d" i)
-    done;
-    let e2 = Fastver.current_epoch t in
-    let c2 = Fastver.verify t in
-    Alcotest.(check bool) "certificates check" true
-      (Fastver.check_epoch_certificate t ~epoch:e1 c1
-      && Fastver.check_epoch_certificate t ~epoch:e2 c2);
-    ((e1, c1), (e2, c2))
-  in
-  let (e1q, c1q), (e2q, c2q) = run false in
-  let (e1b, c1b), (e2b, c2b) = run true in
-  Alcotest.(check int) "same first epoch" e1q e1b;
-  Alcotest.(check string) "identical first certificate" c1q c1b;
-  Alcotest.(check int) "same second epoch" e2q e2b;
-  Alcotest.(check string) "identical second certificate" c2q c2b
-
-let test_background_verify_races_writers () =
-  (* Writer domains keep hammering while verify_async scans run truly in
-     the background: every scan must certify its sealed epoch, consecutive
-     scans must cover consecutive epochs, and the foreground must make
-     progress while a scan is in flight. *)
+let test_scans_race_writers () =
+  (* Writer domains keep hammering while a domain of the test's own runs
+     scans back to back: every scan must certify its sealed epoch,
+     consecutive scans must cover consecutive epochs, and the foreground
+     must make progress while a scan is in flight. *)
   let n = 512 in
-  let t = mk ~workers:4 ~bg:true n in
+  let t = mk ~workers:4 n in
   let stop = Atomic.make false in
   let writer wid () =
     let rng = Random.State.make [| 23; wid |] in
@@ -231,54 +199,39 @@ let test_background_verify_races_writers () =
   let domains = Array.init 3 (fun i -> Domain.spawn (writer (i + 1))) in
   let e0 = Fastver.current_epoch t in
   let scans = 12 in
-  let results = Array.init scans (fun _ -> Atomic.make None) in
-  let overlap = ref 0 in
-  for i = 0 to scans - 1 do
-    let ops_before = (Fastver.stats t).ops in
-    Fastver.verify_async t ~on_complete:(fun r ->
-        Atomic.set results.(i) (Some r));
-    while Atomic.get results.(i) = None do
-      if Fastver.verify_in_flight t && (Fastver.stats t).ops > ops_before
-      then incr overlap;
-      Domain.cpu_relax ()
-    done
+  let finished = Atomic.make false in
+  let scanner =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () -> Array.init scans (fun _ -> Fastver.verify_epoch t)))
+  in
+  (* Count polls that saw operations complete while the same scan stayed
+     in flight. *)
+  let overlap = ref 0 and in_scan_ops = ref None in
+  while not (Atomic.get finished) do
+    let ops = (Fastver.stats t).ops in
+    (if Fastver.verify_in_flight t then begin
+       (match !in_scan_ops with Some o when ops > o -> incr overlap | _ -> ());
+       in_scan_ops := Some ops
+     end
+     else in_scan_ops := None);
+    Domain.cpu_relax ()
   done;
   Atomic.set stop true;
   Array.iter Domain.join domains;
-  Fastver.wait_verify t;
+  let results = Domain.join scanner in
   Array.iteri
-    (fun i r ->
-      match Atomic.get r with
-      | Some (Ok (epoch, cert)) ->
-          Alcotest.(check int) (Printf.sprintf "scan %d epoch" i) (e0 + i)
-            epoch;
-          Alcotest.(check bool)
-            (Printf.sprintf "scan %d certificate" i)
-            true
-            (Fastver.check_epoch_certificate t ~epoch cert)
-      | Some (Error e) ->
-          Alcotest.failf "background scan %d failed: %s" i
-            (Printexc.to_string e)
-      | None -> Alcotest.failf "background scan %d never completed" i)
+    (fun i (epoch, cert) ->
+      Alcotest.(check int) (Printf.sprintf "scan %d epoch" i) (e0 + i) epoch;
+      Alcotest.(check bool)
+        (Printf.sprintf "scan %d certificate" i)
+        true
+        (Fastver.check_epoch_certificate t ~epoch cert))
     results;
   Alcotest.(check bool) "foreground progressed during in-flight scans" true
     (!overlap > 0);
   ignore (Fastver.verify t);
-  Alcotest.(check bool) "verifier healthy" true
-    (Fastver.verifier_failure t = None)
-
-let test_background_auto_verify () =
-  (* With background_verify and a batch size, maybe_verify launches scans
-     from whichever domain trips the threshold; they must all certify and
-     the epoch counter must advance well past the start. *)
-  let n = 1_000 in
-  let t = mk ~batch:2_000 ~bg:true n in
-  Fastver.Parallel.run_ycsb t ~spec:Fastver_workload.Ycsb.workload_a ~db_size:n
-    ~ops_per_worker:4_000;
-  Fastver.wait_verify t;
-  ignore (Fastver.verify t);
-  Alcotest.(check bool) "several epochs verified in the background" true
-    (Fastver.current_epoch t >= 3);
   Alcotest.(check bool) "verifier healthy" true
     (Fastver.verifier_failure t = None)
 
@@ -320,12 +273,11 @@ let test_lock_order_enforced () =
       Fastver.Testing.with_worker_lock t 0 (fun () ->
           Fastver.Testing.with_shard_lock t 1 (fun () -> ())));
   (* the leaves: redeferred and cold may sit under tree/worker locks, but
-     nothing nests under a leaf, and bg requires nothing held at all *)
+     nothing nests under a leaf *)
   Fastver.Testing.with_shard_lock t 1 (fun () ->
       Fastver.Testing.with_redeferred_lock t (fun () -> ()));
   Fastver.Testing.with_worker_lock t 2 (fun () ->
       Fastver.Testing.with_cold_lock t (fun () -> ()));
-  Fastver.Testing.with_bg_lock t (fun () -> ());
   expect_violation "shard under redeferred" (fun () ->
       Fastver.Testing.with_redeferred_lock t (fun () ->
           Fastver.Testing.with_shard_lock t 0 (fun () -> ())));
@@ -335,12 +287,6 @@ let test_lock_order_enforced () =
   expect_violation "cold under redeferred" (fun () ->
       Fastver.Testing.with_redeferred_lock t (fun () ->
           Fastver.Testing.with_cold_lock t (fun () -> ())));
-  expect_violation "bg under tree" (fun () ->
-      Fastver.Testing.with_tree_lock t (fun () ->
-          Fastver.Testing.with_bg_lock t (fun () -> ())));
-  expect_violation "redeferred under bg" (fun () ->
-      Fastver.Testing.with_bg_lock t (fun () ->
-          Fastver.Testing.with_redeferred_lock t (fun () -> ())));
   (* real operations — fast path, slow path, a full parallel scan — all
      follow the documented order under enforcement *)
   for i = 0 to 7 do
@@ -381,11 +327,7 @@ let suite =
         test_verify_races_concurrent_process;
       Alcotest.test_case "parallel scan certificate = sequential" `Quick
         test_parallel_scan_cert_matches_sequential;
-      Alcotest.test_case "background certificate = quiesced" `Quick
-        test_background_cert_matches_quiesced;
       Alcotest.test_case "background verify races writers" `Slow
-        test_background_verify_races_writers;
-      Alcotest.test_case "background auto verify" `Slow
-        test_background_auto_verify;
+        test_scans_race_writers;
       Alcotest.test_case "lock order enforced" `Quick test_lock_order_enforced;
     ] )

@@ -101,11 +101,8 @@ let gen_response =
           (list_size (0 -- 6)
              (pair (string_size (0 -- 24)) (string_size (0 -- 120))))
           (0 -- 1_000_000);
-        map3
-          (* the encoder requires the raw 32-byte data-key path *)
-          (fun epoch key value -> Wire.Repl_op { epoch; key; value })
-          (0 -- 1_000_000) (string_size (32 -- 32)) gen_value;
         map2
+          (* the encoder requires the raw 32-byte data-key path *)
           (fun epoch ops ->
             Wire.Repl_batch { epoch; ops = Array.of_list ops })
           (0 -- 1_000_000)
@@ -287,14 +284,13 @@ let test_bad_metrics_format () =
   | Ok _ -> Alcotest.fail "unknown metrics format byte accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Version-1 compatibility                                             *)
+(* Version 1 is not decoded                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Hand-built v1 framings: the pre-election protocol carried no fencing
-   term in Subscribe/Subscribed/Repl_epoch. A v2 decoder must accept them
-   with [term = 0] ("before any election") — and because decoders reject
-   trailing bytes, a v1 frame that smuggles the v2 term field in must
-   error, not silently parse. *)
+   term in Subscribe/Subscribed/Repl_epoch. Only version 2 is spoken, so
+   any v1 frame — well-formed or not, term field smuggled in or not — must
+   come back as an [Error], never parse and never raise. *)
 
 let le32 v =
   let b = Buffer.create 4 in
@@ -317,13 +313,6 @@ let mac16 s = Printf.sprintf "%c%c%s"
     (Char.chr ((String.length s lsr 8) land 0xff))
     s
 
-let prop_v1_subscribe =
-  QCheck.Test.make ~name:"v1 Subscribe decodes with term = 0" ~count:300
-    QCheck.(pair (int_bound 1_000_000) int64)
-    (fun (from_epoch, id) ->
-      Wire.decode_request (v1_frame ~tag:0x09 ~id (le32 from_epoch))
-      = Ok (id, Wire.Subscribe { from_epoch; term = 0 }))
-
 let prop_v1_subscribe_trailing_term =
   QCheck.Test.make ~name:"v1 Subscribe with smuggled term field errors"
     ~count:300
@@ -333,40 +322,53 @@ let prop_v1_subscribe_trailing_term =
         (Wire.decode_request
            (v1_frame ~tag:0x09 ~id:1L (le32 from_epoch ^ le32 term))))
 
-let prop_v1_subscribed =
-  QCheck.Test.make ~name:"v1 Subscribed decodes with term = 0" ~count:300
-    QCheck.(pair (int_bound 1_000_000) int64)
-    (fun (from_epoch, run_id) ->
-      Wire.decode_response (v1_frame ~tag:0x89 ~id:2L (le32 from_epoch ^ le64 run_id))
-      = Ok (2L, Wire.Subscribed { from_epoch; run_id; term = 0 }))
+(* The v1 bodies of the term-bearing messages, each exactly as a v1 peer
+   framed it: Subscribe (request), then Subscribed, Checkpoint_reply and
+   Repl_epoch (responses). One property per message. *)
+let v1_gen =
+  QCheck.(
+    triple (int_bound 1_000_000) int64
+      (small_list
+         (pair (string_of_size QCheck.Gen.(0 -- 24))
+            (string_of_size QCheck.Gen.(0 -- 64)))))
 
-let prop_v1_repl_epoch =
-  QCheck.Test.make ~name:"v1 Repl_epoch decodes with term = 0" ~count:300
-    QCheck.(triple (int_bound 1_000_000)
-              (string_of_size QCheck.Gen.(0 -- 48))
-              (string_of_size QCheck.Gen.(0 -- 48)))
-    (fun (epoch, cert, stream_mac) ->
-      Wire.decode_response
-        (v1_frame ~tag:0x8c ~id:3L (le32 epoch ^ mac16 cert ^ mac16 stream_mac))
-      = Ok (3L, Wire.Repl_epoch { epoch; cert; stream_mac; term = 0 }))
+let errors_without_raising decode frame =
+  match decode frame with
+  | Error _ -> true
+  | Ok _ -> false
+  | exception _ -> false
 
-let prop_v1_checkpoint_reply =
-  QCheck.Test.make ~name:"v1 Checkpoint_reply decodes with term = 0"
-    ~count:300
-    QCheck.(pair (int_bound 1_000_000)
-              (small_list (pair (string_of_size QCheck.Gen.(0 -- 24))
-                             (string_of_size QCheck.Gen.(0 -- 64)))))
-    (fun (generation, files) ->
+let prop_v1_rejected ~name decode frame_of =
+  QCheck.Test.make ~name ~count:200 v1_gen (fun args ->
+      errors_without_raising decode (frame_of args))
+
+let prop_v1_subscribe_rejected =
+  prop_v1_rejected ~name:"v1 Subscribe errors, no raise" Wire.decode_request
+    (fun (n, id, _) -> v1_frame ~tag:0x09 ~id (le32 n))
+
+let prop_v1_subscribed_rejected =
+  prop_v1_rejected ~name:"v1 Subscribed errors, no raise" Wire.decode_response
+    (fun (n, id, _) -> v1_frame ~tag:0x89 ~id (le32 n ^ le64 id))
+
+let prop_v1_checkpoint_reply_rejected =
+  prop_v1_rejected ~name:"v1 Checkpoint_reply errors" Wire.decode_response
+    (fun (n, id, files) ->
       let body =
-        le32 generation
+        le32 n
         ^ le32 (List.length files)
         ^ String.concat ""
-            (List.map (fun (n, d) -> mac16 n ^ le32 (String.length d) ^ d)
+            (List.map (fun (nm, d) -> mac16 nm ^ le32 (String.length d) ^ d)
                files)
       in
-      Wire.decode_response (v1_frame ~tag:0x8a ~id:5L body)
-      = Ok (5L, Wire.Checkpoint_reply
-                  { generation; files = Array.of_list files; term = 0 }))
+      v1_frame ~tag:0x8a ~id body)
+
+let prop_v1_repl_epoch_rejected =
+  prop_v1_rejected ~name:"v1 Repl_epoch errors, no raise" Wire.decode_response
+    (fun (n, id, files) ->
+      let cert, stream_mac =
+        match files with (c, m) :: _ -> (c, m) | [] -> ("", "")
+      in
+      v1_frame ~tag:0x8c ~id (le32 n ^ mac16 cert ^ mac16 stream_mac))
 
 (* A v2 frame in the old (term-less) framing is short, not ambiguous. *)
 let test_v2_requires_term () =
@@ -421,11 +423,11 @@ let suite =
       Alcotest.test_case "v2 subscribe requires term" `Quick
         test_v2_requires_term;
       Alcotest.test_case "term-info flag strict" `Quick test_term_info_bad_flag;
-      QCheck_alcotest.to_alcotest prop_v1_subscribe;
+      QCheck_alcotest.to_alcotest prop_v1_subscribe_rejected;
+      QCheck_alcotest.to_alcotest prop_v1_subscribed_rejected;
+      QCheck_alcotest.to_alcotest prop_v1_checkpoint_reply_rejected;
+      QCheck_alcotest.to_alcotest prop_v1_repl_epoch_rejected;
       QCheck_alcotest.to_alcotest prop_v1_subscribe_trailing_term;
-      QCheck_alcotest.to_alcotest prop_v1_subscribed;
-      QCheck_alcotest.to_alcotest prop_v1_repl_epoch;
-      QCheck_alcotest.to_alcotest prop_v1_checkpoint_reply;
       QCheck_alcotest.to_alcotest prop_hostile_election_fields;
       QCheck_alcotest.to_alcotest prop_request_roundtrip;
       QCheck_alcotest.to_alcotest prop_response_roundtrip;
